@@ -1,17 +1,14 @@
 """The flat :class:`Circuit` container and its connectivity queries.
 
 A circuit is an ordered collection of uniquely-named devices.  Nets are
-implied by device connections; the circuit derives net membership, exposes
-a networkx connectivity graph for structural queries (used by primitive
-detection and the signal-flow analysis), and validates that the netlist is
-electrically plausible before simulation.
+implied by device connections; the circuit derives net membership (the
+net → device index that constraint extraction rides on) and validates that
+the netlist is electrically plausible before simulation.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
-
-import networkx as nx
 
 from repro.netlist.devices import Device, Mosfet
 from repro.netlist.nets import is_ground
@@ -115,9 +112,9 @@ class Circuit:
     def net_map(self) -> dict[str, tuple[tuple[Device, str], ...]]:
         """Net → ``(device, port)`` index, built in one pass.
 
-        The adjacency view of :meth:`connectivity_graph`: querying many nets
-        through this costs one scan total instead of one :meth:`net_devices`
-        scan per net.  Constraint extraction rides on it.
+        The adjacency view of the bipartite device/net graph: querying many
+        nets through this costs one scan total instead of one
+        :meth:`net_devices` scan per net.  Constraint extraction rides on it.
         """
         out: dict[str, list[tuple[Device, str]]] = {}
         for device in self._devices.values():
@@ -129,24 +126,7 @@ class Circuit:
         """Total number of placeable unit devices."""
         return sum(m.n_units for m in self.mosfets())
 
-    # ------------------------------------------------------------- structure
-
-    def connectivity_graph(self, include_rails: bool = True) -> nx.Graph:
-        """Bipartite device/net graph for structural analyses.
-
-        Node attribute ``kind`` is ``"device"`` or ``"net"``; device nodes
-        are prefixed ``dev:``, net nodes ``net:`` so names cannot collide.
-        """
-        graph = nx.Graph()
-        for device in self._devices.values():
-            graph.add_node(f"dev:{device.name}", kind="device")
-            for port in device.PORTS:
-                net = device.net(port)
-                if not include_rails and is_ground(net):
-                    continue
-                graph.add_node(f"net:{net}", kind="net")
-                graph.add_edge(f"dev:{device.name}", f"net:{net}", port=port)
-        return graph
+    # ------------------------------------------------------------- checks
 
     def validate(self) -> None:
         """Raise if the netlist is structurally unusable for simulation.

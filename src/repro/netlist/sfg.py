@@ -11,7 +11,7 @@ out in level order.
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_rail
@@ -28,28 +28,37 @@ def device_levels(circuit: Circuit, input_nets: tuple[str, ...]) -> dict[str, in
     """
     if not input_nets:
         raise ValueError("need at least one input net")
-    graph = nx.Graph()
+    # Bipartite device/net adjacency, rails excluded.
+    net_devices: dict[str, list[str]] = {}
+    device_nets: dict[str, list[str]] = {}
     for device in circuit.placeable():
-        graph.add_node(f"dev:{device.name}")
+        nets = device_nets.setdefault(device.name, [])
         for port in device.PORTS:
             net = device.net(port)
             if is_rail(net):
                 continue
-            graph.add_node(f"net:{net}")
-            graph.add_edge(f"dev:{device.name}", f"net:{net}")
+            nets.append(net)
+            net_devices.setdefault(net, []).append(device.name)
 
-    sources = [f"net:{n}" for n in input_nets if f"net:{n}" in graph]
+    sources = [n for n in input_nets if n in net_devices]
     if not sources:
         raise ValueError(f"no input net of {input_nets} touches a placeable device")
 
-    # Multi-source BFS over the bipartite graph; device level = net hops.
+    # Multi-source BFS in device hops: a device's level is the fewest
+    # devices crossed to reach it from any input net.
     lengths: dict[str, int] = {}
-    for source in sources:
-        for node, dist in nx.single_source_shortest_path_length(graph, source).items():
-            if node.startswith("dev:"):
-                level = dist // 2  # two bipartite hops = one device hop
-                name = node[4:]
-                lengths[name] = min(lengths.get(name, level), level)
+    seen_nets = set(sources)
+    frontier = deque((net, 0) for net in sources)
+    while frontier:
+        net, level = frontier.popleft()
+        for name in net_devices[net]:
+            if name in lengths:
+                continue
+            lengths[name] = level
+            for nxt in device_nets[name]:
+                if nxt not in seen_nets:
+                    seen_nets.add(nxt)
+                    frontier.append((nxt, level + 1))
 
     deepest = max(lengths.values(), default=0)
     levels = {}

@@ -9,8 +9,6 @@ accuracy studies.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.route.estimator import net_pin_positions, signal_nets
@@ -18,16 +16,26 @@ from repro.tech import Technology
 
 
 def rectilinear_mst_length(pins: list[tuple[float, float]]) -> float:
-    """Total Manhattan length of the MST over pin positions [m]."""
+    """Total Manhattan length of the MST over pin positions [m].
+
+    Prim's algorithm on the complete pin graph: O(n²), which is optimal
+    for a dense graph and trivial at net pin counts.
+    """
     if len(pins) < 2:
         return 0.0
-    graph = nx.Graph()
-    for i, (xi, yi) in enumerate(pins):
-        for j in range(i + 1, len(pins)):
-            xj, yj = pins[j]
-            graph.add_edge(i, j, weight=abs(xi - xj) + abs(yi - yj))
-    tree = nx.minimum_spanning_tree(graph)
-    return float(sum(data["weight"] for __, __j, data in tree.edges(data=True)))
+    x0, y0 = pins[0]
+    # Distance from each pin outside the tree to its nearest tree pin.
+    best = {i: abs(x - x0) + abs(y - y0) for i, (x, y) in enumerate(pins[1:], 1)}
+    total = 0.0
+    while best:
+        nearest = min(best, key=best.__getitem__)
+        total += best.pop(nearest)
+        xn, yn = pins[nearest]
+        for i, dist in best.items():
+            step = abs(pins[i][0] - xn) + abs(pins[i][1] - yn)
+            if step < dist:
+                best[i] = step
+    return total
 
 
 def net_mst(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
@@ -62,6 +63,25 @@ def _check_schema_version(data: Mapping[str, Any], what: str) -> None:
             f"{what} has schema version {version}; this build reads "
             f"<= {SCHEMA_VERSION}"
         )
+
+
+def _check_types(request, int_fields: tuple[str, ...]) -> None:
+    """Reject wrongly typed scalars before any range check compares them.
+
+    ``circuit`` (and a placement's inline ``spice`` deck) must be a
+    string or ``None``, and every ``int_fields`` entry an integer —
+    ``bool`` excluded, so ``steps: true`` is refused, and floats
+    excluded, so ``seed: 1.0`` cannot hash differently from the equal
+    request ``seed: 1``.
+    """
+    for name in ("circuit", "spice"):
+        value = getattr(request, name, None)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    for name in int_fields:
+        value = getattr(request, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _from_json(cls, data: Mapping[str, Any]):
@@ -174,6 +194,7 @@ class PlacementRequest:
                 "exactly one of circuit= (registry key) or spice= "
                 "(inline deck) must be given"
             )
+        _check_types(self, ("steps", "seed", "batch"))
         if self.placer not in PLACER_KINDS:
             raise ValueError(
                 f"placer must be one of {PLACER_KINDS}, got {self.placer!r}"
@@ -303,6 +324,7 @@ class TrainRequest:
     def __post_init__(self) -> None:
         if not self.circuit:
             raise ValueError("a train request needs a circuit= registry key")
+        _check_types(self, ("workers", "rounds", "steps", "seed", "batch"))
         if self.placer not in TRAINABLE_PLACER_KINDS:
             raise ValueError(
                 f"placer must be one of {TRAINABLE_PLACER_KINDS} (SA has "

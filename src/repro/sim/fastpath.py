@@ -24,22 +24,18 @@ factor / solve) that ``repro profile`` reports.
 
 from __future__ import annotations
 
+import importlib.util
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-try:  # scipy is optional at runtime; dense fallbacks cover its absence
-    from scipy.linalg import lu_factor, lu_solve
-except ImportError:  # pragma: no cover - exercised only without scipy
-    lu_factor = lu_solve = None
-
-try:
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-except ImportError:  # pragma: no cover - exercised only without scipy
-    csc_matrix = splu = None
+#: scipy is optional and costs ~0.5 s to import, but only the LU and
+#: ``splu`` factors need it — so probe for it here and import it the
+#: first time such a factor is built.  Without scipy both fall back to
+#: the dense ``np.linalg.solve`` path.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 @dataclass(frozen=True)
@@ -186,11 +182,15 @@ class DenseFactor:
     def __init__(self, J: np.ndarray, tuning: SolverTuning):
         self.J = J
         self._lu = None
-        if lu_factor is not None and J.shape[0] >= tuning.lu_threshold:
+        if HAVE_SCIPY and J.shape[0] >= tuning.lu_threshold:
+            from scipy.linalg import lu_factor
+
             self._lu = lu_factor(J)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is not None:
+            from scipy.linalg import lu_solve
+
             return lu_solve(self._lu, rhs)
         return np.linalg.solve(self.J, rhs)
 
@@ -201,6 +201,9 @@ class SparseFactor:
     __slots__ = ("_lu",)
 
     def __init__(self, J: np.ndarray, pattern):
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         if pattern is not None:
             rows, cols, indices, indptr = pattern
             data = J[rows, cols]
@@ -217,7 +220,7 @@ def use_sparse(size: int, tuning: SolverTuning | None = None) -> bool:
     """Whether a ``size``-unknown DC Jacobian takes the sparse path."""
     t = tuning if tuning is not None else _tuning
     return (
-        splu is not None
+        HAVE_SCIPY
         and t.sparse_threshold > 0
         and size >= t.sparse_threshold
     )

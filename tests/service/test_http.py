@@ -16,6 +16,20 @@ from repro.service.service import PlacementService
 
 QUICK = dict(circuit="ota5t", steps=30, seed=1)
 
+#: Wrongly typed /place bodies (the same set test_requests.py decodes).
+BAD_PLACE_BODIES = [
+    {"circuit": "cm", "seed": "1"},
+    {"circuit": "cm", "seed": 1.5},
+    {"circuit": "cm", "seed": 1.0},
+    {"circuit": "cm", "seed": True},
+    {"circuit": "cm", "steps": True},
+    {"circuit": "cm", "steps": "ten"},
+    {"circuit": "cm", "batch": 2.5},
+    {"circuit": ["cm"]},
+    {"circuit": 7},
+    {"spice": ["m1 d g s b nmos40"]},
+]
+
 
 @pytest.fixture()
 def served(tmp_path):
@@ -119,6 +133,16 @@ class TestRoutes:
             _post_json(url + "/place", {"circuit": "dac", "steps": 5})
         assert err.value.code == 400
         assert "unknown circuit" in json.loads(err.value.read())["error"]
+
+
+    @pytest.mark.parametrize("body", BAD_PLACE_BODIES, ids=repr)
+    def test_wrongly_typed_place_body_is_400(self, served, body):
+        url, service = served
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_json(url + "/place", body)
+        assert err.value.code == 400
+        assert "must be" in json.loads(err.value.read())["error"]
+        assert service.jobs.jobs() == []
 
 
 class TestServingBitIdentity:

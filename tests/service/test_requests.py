@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.eval.metrics import Metrics
@@ -17,6 +18,46 @@ from repro.service import (
     placement_to_dict,
     request_from_json_dict,
 )
+
+
+#: Wrongly typed request fields: each body must be refused at decode.
+BAD_PLACE_BODIES = [
+    {"circuit": "cm", "seed": "1"},
+    {"circuit": "cm", "seed": 1.5},
+    {"circuit": "cm", "seed": 1.0},
+    {"circuit": "cm", "seed": True},
+    {"circuit": "cm", "steps": True},
+    {"circuit": "cm", "steps": "ten"},
+    {"circuit": "cm", "batch": 2.5},
+    {"circuit": ["cm"]},
+    {"circuit": 7},
+    {"spice": ["m1 d g s b nmos40"]},
+]
+BAD_TRAIN_BODIES = [
+    {"circuit": "cm", "rounds": True},
+    {"circuit": "cm", "workers": 2.0},
+    {"circuit": "cm", "seed": "0"},
+    {"circuit": "cm", "steps": None},
+    {"circuit": "cm", "batch": False},
+    {"circuit": ["cm"]},
+]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("body", BAD_PLACE_BODIES, ids=repr)
+    def test_place_rejects_wrong_types(self, body):
+        with pytest.raises(ValueError, match="must be"):
+            PlacementRequest.from_json_dict(body)
+
+    @pytest.mark.parametrize("body", BAD_TRAIN_BODIES, ids=repr)
+    def test_train_rejects_wrong_types(self, body):
+        with pytest.raises(ValueError, match="must be"):
+            TrainRequest.from_json_dict(body)
+
+    def test_numpy_integers_accepted(self):
+        request = PlacementRequest(circuit="cm", seed=np.int64(3),
+                                   steps=np.int32(10))
+        assert request == PlacementRequest(circuit="cm", seed=3, steps=10)
 
 
 class TestPlacementRequestSchema:

@@ -10,6 +10,13 @@ and results must stay bit-identical across serial and process-pool
 execution.
 """
 
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +31,7 @@ from repro.netlist.library import (
     two_stage_ota,
 )
 from repro.route.parasitics import annotate_parasitics
+from repro.sim import fastpath
 from repro.sim import (
     ArrayBackend,
     logspace_frequencies,
@@ -60,6 +68,11 @@ KNOBS = {
 }
 
 REFERENCE = dict(jacobian_reuse=False, op_cache=False)
+
+#: Knobs that only mean something with scipy: without it the LU and
+#: ``splu`` factors fall back to the dense solve the reference uses.
+SCIPY_KNOBS = ("forced_lu", "forced_sparse", "forced_sparse_reuse")
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def _delta_regimes(block):
@@ -102,11 +115,61 @@ class TestKnobEquivalence:
     @pytest.mark.parametrize("knob", sorted(KNOBS))
     @pytest.mark.parametrize("regime", ("nominal", "corner", "random"))
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
-    def test_dc_matches_reference(self, cases, kind, regime, knob):
+    def test_dc_matches_reference(self, cases, kind, regime, knob,
+                                  monkeypatch):
+        if knob in SCIPY_KNOBS and not HAVE_SCIPY:
+            pytest.skip(f"{knob} factors through scipy, which is not "
+                        "installed (it would silently solve dense)")
         annotated, tech, regimes, refs = cases[kind]
+        dense_factors = []
+
+        class SpyDenseFactor(fastpath.DenseFactor):
+            def __init__(self, J, tuning):
+                super().__init__(J, tuning)
+                dense_factors.append(self)
+
+        monkeypatch.setattr(fastpath, "DenseFactor", SpyDenseFactor)
+        reset_solver_stats()
         with solver_tuning(**KNOBS[knob]):
             got = solve_dc(annotated, tech, deltas=regimes[regime])
         assert np.max(np.abs(got.x - refs[regime].x)) < TOL
+        # Prove the forced factorization really ran.
+        if knob == "forced_lu":
+            assert any(f._lu is not None for f in dense_factors)
+        elif knob in SCIPY_KNOBS:
+            assert solver_stats().sparse_factorizations > 0
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy is not installed")
+    def test_forced_lu_loads_scipy_lazily(self):
+        """scipy stays unloaded until the first LU factor is built."""
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            from repro.layout.generators import banded_placement
+            from repro.netlist.library import two_stage_ota
+            from repro.route.parasitics import annotate_parasitics
+            from repro.sim import solve_dc, solver_tuning
+            from repro.tech import generic_tech_40
+
+            tech = generic_tech_40()
+            block = two_stage_ota()
+            annotated = annotate_parasitics(
+                block.circuit, banded_placement(block, "ysym"), tech)
+            with solver_tuning(jacobian_reuse=False, op_cache=False):
+                ref = solve_dc(annotated, tech)
+            assert "scipy" not in sys.modules, "scipy imported eagerly"
+            with solver_tuning(**{KNOBS["forced_lu"]!r}):
+                got = solve_dc(annotated, tech)
+            assert "scipy.linalg" in sys.modules, "LU never factored"
+            assert np.max(np.abs(got.x - ref.x)) < {TOL!r}
+        """)
+        src = str(Path(fastpath.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_warm_start_matches_cold(self, cases, kind):
